@@ -16,11 +16,13 @@ input size (§4.3, hardware-centric schedule space).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from ..gpusim.device import DeviceSpec, RTX3090
 
-__all__ = ['MatmulSchedule', 'ReduceSchedule']
+__all__ = ['MatmulSchedule', 'ReduceSchedule', 'schedule_fields',
+           'schedule_dict']
 
 
 @dataclass(frozen=True)
@@ -124,3 +126,25 @@ class ReduceSchedule:
                 and self.block_size % 32 == 0
                 and (self.block_size & (self.block_size - 1)) == 0  # power of two tree
                 and self.items_per_thread >= 1)
+
+
+#: field names of each schedule class, in declaration order
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls))
+                for cls in (MatmulSchedule, ReduceSchedule)}
+_FIELD_GETTERS = {cls: attrgetter(*names)
+                  for cls, names in _FIELD_NAMES.items()}
+
+
+def schedule_fields(schedule) -> tuple:
+    """The schedule's field values as a plain tuple, in declaration order.
+
+    Equal to ``dataclasses.astuple(schedule)`` (every field is a scalar or a
+    tuple of ints) without its recursive deep copy.  This is a schedule's
+    canonical identity in record keys, rank tie-breaks and space digests.
+    """
+    return _FIELD_GETTERS[type(schedule)](schedule)
+
+
+def schedule_dict(schedule) -> dict:
+    """Field name → value, equal to ``dataclasses.asdict(schedule)``."""
+    return dict(zip(_FIELD_NAMES[type(schedule)], schedule_fields(schedule)))

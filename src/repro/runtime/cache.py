@@ -69,10 +69,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-from ..core.schedule import MatmulSchedule, ReduceSchedule
+from ..core.schedule import (MatmulSchedule, ReduceSchedule, schedule_dict,
+                             schedule_fields)
 from ..gpusim.device import DeviceSpec, device_family_key
 from ..ir.compute import GridCompute, ReduceCompute, TensorInput
 from ..ir.expr import (BinaryExpr, BlockIndex, Call, Cast, Constant, Expr,
@@ -174,7 +176,7 @@ def space_fingerprint(space: Sequence[MatmulSchedule]) -> str:
     Executors restricted to a sub-space (e.g. ``double_buffer=False``
     ablations) must not consume schedules tuned over the full space.
     """
-    payload = tuple(astuple(s) for s in space)
+    payload = tuple(schedule_fields(s) for s in space)
     return hashlib.sha256(repr(payload).encode('utf-8')).hexdigest()[:16]
 
 
@@ -265,10 +267,6 @@ def task_device_family_signature(task: Task, device: DeviceSpec,
 # schedule (de)serialization
 
 
-def _schedule_to_dict(schedule: Schedule) -> dict:
-    return asdict(schedule)
-
-
 def _schedule_from_dict(kind: str, data: dict) -> Schedule:
     if kind == 'matmul':
         return MatmulSchedule(
@@ -300,7 +298,7 @@ class CacheEntry:
     device_family: Optional[str] = None
 
     def to_json(self) -> dict:
-        data = {'kind': self.kind, 'schedule': _schedule_to_dict(self.schedule)}
+        data = {'kind': self.kind, 'schedule': schedule_dict(self.schedule)}
         if self.namespace:
             data['namespace'] = self.namespace
         if self.family:
@@ -339,21 +337,25 @@ class MeasurementRecord:
     extra_read_bytes: float = 0.0
     extra_write_bytes: float = 0.0
 
-    @property
+    # both keys are cached per record, since every refit sorts and groups
+    # the whole corpus by them; the cache lives in the instance ``__dict__``,
+    # outside the dataclass fields, so equality and hashing ignore it
+
+    @cached_property
     def problem_key(self) -> tuple:
         """Identity of the scheduling problem (distinct-problem counting)."""
         return (self.kind, self.m, self.n, self.k, self.batch,
                 round(self.extra_read_bytes), round(self.extra_write_bytes))
 
-    @property
+    @cached_property
     def key(self) -> tuple:
         """Dedup identity: one record per (problem, schedule)."""
-        return (*self.problem_key, astuple(self.schedule))
+        return (*self.problem_key, schedule_fields(self.schedule))
 
     def to_json(self) -> dict:
         return {'kind': self.kind,
                 'problem': [self.m, self.n, self.k, self.batch],
-                'schedule': _schedule_to_dict(self.schedule),
+                'schedule': schedule_dict(self.schedule),
                 'extra': [self.extra_read_bytes, self.extra_write_bytes],
                 'latency': self.latency}
 
@@ -651,16 +653,24 @@ class ScheduleCache:
             raise ValueError(
                 f'schedule cache version mismatch: file has {version!r}, '
                 f'this build reads {CACHE_FORMAT_VERSION}')
-        file_entries = data.get('entries', {})
-        pre_existing = {sig for sig in file_entries if sig in self._entries}
-        for sig, raw in file_entries.items():
-            entry = CacheEntry.from_json(raw)
+        entries = {sig: CacheEntry.from_json(raw)
+                   for sig, raw in data.get('entries', {}).items()}
+        records = [MeasurementRecord.from_json(raw)
+                   for raw in data.get('measurements', ())]
+        return self._merge(entries, records)
+
+    def _merge(self, entries: dict[str, CacheEntry],
+               records: Iterable[MeasurementRecord]) -> int:
+        """Put ``entries`` and record ``records`` in order; returns the
+        number of new entries retained (see :meth:`merge_json`)."""
+        pre_existing = {sig for sig in entries if sig in self._entries}
+        for sig, entry in entries.items():
             self.put(sig, entry.kind, entry.schedule,
                      namespace=entry.namespace, family=entry.family,
                      device_family=entry.device_family)
-        for raw in data.get('measurements', ()):
-            self.record_measurement(MeasurementRecord.from_json(raw))
-        return sum(1 for sig in file_entries
+        for record in records:
+            self.record_measurement(record)
+        return sum(1 for sig in entries
                    if sig in self._entries and sig not in pre_existing)
 
     def warm(self, path: str, missing_ok: bool = False) -> int:
@@ -681,12 +691,7 @@ class ScheduleCache:
         if missing_ok and not os.path.exists(path):
             return 0
         entries, measurements, _ = _read_state(path)
-        data: dict = {'version': CACHE_FORMAT_VERSION,
-                      'entries': {sig: e.to_json()
-                                  for sig, e in entries.items()},
-                      'measurements': [r.to_json()
-                                       for r in measurements.values()]}
-        return self.merge_json(data)
+        return self._merge(entries, measurements.values())
 
     @classmethod
     def load(cls, path: str) -> 'ScheduleCache':

@@ -14,16 +14,24 @@ The properties below are what the parallel tuning service leans on:
   to byte-identical files, and compacting twice is a no-op;
 - a legacy monolithic-JSON cache file migrates into log form on the first
   ``save``/``compact_log`` without losing records.
+
+Record identity is pinned too: record keys, record JSON and schedule-space
+digests equal their ``dataclasses.astuple``/``asdict`` definitions, and the
+compacted log of a small fixed cache is pinned byte for byte.
 """
+import hashlib
 import json
 import os
+from dataclasses import asdict, astuple
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.schedule import MatmulSchedule, ReduceSchedule
 from repro.core.space import matmul_schedule_space
 from repro.gpusim.device import RTX3090
 from repro.runtime.cache import (CACHE_FORMAT_VERSION, MeasurementRecord,
-                                 ScheduleCache, compact_log)
+                                 ScheduleCache, _read_state, compact_log,
+                                 space_fingerprint)
 
 #: small deterministic pool of real schedules to draw entry values from
 SCHEDULES = list(matmul_schedule_space(RTX3090))[:8]
@@ -198,3 +206,104 @@ def test_concurrent_savers_cannot_drop_entries(tmp_path):
     assert {s for s in SIGNATURES if s in final} == {'sig_00', 'sig_01',
                                                      'sig_02'}
     assert os.path.getsize(path) > 0
+
+
+# ---------------------------------------------------------------------------
+# record identity
+
+
+def test_record_key_and_json_equal_their_dataclass_definitions():
+    schedules = list(matmul_schedule_space(RTX3090))
+    records = [MeasurementRecord(kind='matmul', m=49 + i, n=2048, k=512,
+                                 batch=1 + i % 3, schedule=sched,
+                                 latency=1e-6 * (i + 1),
+                                 extra_read_bytes=0.4 * i,
+                                 extra_write_bytes=1536.5)
+               for i, sched in enumerate(schedules)]
+    records.append(MeasurementRecord(
+        kind='reduce', m=1, n=1, k=4096, batch=8,
+        schedule=ReduceSchedule(block_size=128, items_per_thread=8),
+        latency=2e-6))
+    for rec in records:
+        assert rec.problem_key == (rec.kind, rec.m, rec.n, rec.k, rec.batch,
+                                   round(rec.extra_read_bytes),
+                                   round(rec.extra_write_bytes))
+        assert rec.key == (*rec.problem_key, astuple(rec.schedule))
+        assert rec.to_json() == {
+            'kind': rec.kind, 'problem': [rec.m, rec.n, rec.k, rec.batch],
+            'schedule': asdict(rec.schedule),
+            'extra': [rec.extra_read_bytes, rec.extra_write_bytes],
+            'latency': rec.latency}
+        assert MeasurementRecord.from_json(rec.to_json()) == rec
+
+
+def test_space_fingerprint_equals_the_astuple_digest():
+    space = list(matmul_schedule_space(RTX3090))
+    payload = tuple(astuple(s) for s in space)
+    expected = hashlib.sha256(repr(payload).encode('utf-8')).hexdigest()[:16]
+    assert space_fingerprint(space) == expected == '6da498b1b3546de6'
+
+
+def _golden_cache() -> ScheduleCache:
+    cache = ScheduleCache()
+    cache.put('sig_b', 'matmul', MatmulSchedule(split_k=2), namespace='bert',
+              family='fam_b', device_family='dev_b')
+    cache.put('sig_a', 'reduce', ReduceSchedule(block_size=128,
+                                                items_per_thread=8))
+    cache.record_measurement(MeasurementRecord(
+        kind='matmul', m=128, n=768, k=768, batch=1,
+        schedule=MatmulSchedule(), latency=1.25e-05))
+    cache.record_measurement(MeasurementRecord(
+        kind='matmul', m=49, n=2048, k=512, batch=2,
+        schedule=MatmulSchedule(double_buffer=False, block_k=16),
+        latency=3.5e-06, extra_read_bytes=1536.0, extra_write_bytes=0.5))
+    return cache
+
+
+GOLDEN_LOG = (
+    b'{"log":1,"version":3}\n'
+    b'{"entry":{"kind":"reduce","schedule":{"block_size":128,'
+    b'"items_per_thread":8}},"op":"put","sig":"sig_a"}\n'
+    b'{"entry":{"device_family":"dev_b","family":"fam_b","kind":"matmul",'
+    b'"namespace":"bert","schedule":{"block_k":8,"block_warps":[2,2],'
+    b'"double_buffer":true,"split_k":2,"thread_layout":[4,8],'
+    b'"thread_tile":[4,4],"warp_outer":[2,2]}},"op":"put","sig":"sig_b"}\n'
+    b'{"op":"measure","record":{"extra":[0.0,0.0],"kind":"matmul",'
+    b'"latency":1.25e-05,"problem":[128,768,768,1],"schedule":{"block_k":8,'
+    b'"block_warps":[2,2],"double_buffer":true,"split_k":1,'
+    b'"thread_layout":[4,8],"thread_tile":[4,4],"warp_outer":[2,2]}}}\n'
+    b'{"op":"measure","record":{"extra":[1536.0,0.5],"kind":"matmul",'
+    b'"latency":3.5e-06,"problem":[49,2048,512,2],"schedule":{"block_k":16,'
+    b'"block_warps":[2,2],"double_buffer":false,"split_k":1,'
+    b'"thread_layout":[4,8],"thread_tile":[4,4],"warp_outer":[2,2]}}}\n')
+
+
+def test_compacted_log_of_a_fixed_cache_is_golden(tmp_path):
+    path = str(tmp_path / 'golden.jsonl')
+    _golden_cache().save(path)
+    assert compact_log(path) == 4
+    with open(path, 'rb') as f:
+        assert f.read() == GOLDEN_LOG
+
+
+def test_warm_matches_merging_the_parsed_json(tmp_path):
+    """``warm`` merges the parsed records directly; it must keep the
+    entry count, entry order and record order of the ``merge_json`` path
+    it replaced — including under a ``max_entries`` cap."""
+    path = str(tmp_path / 'schedules.jsonl')
+    _golden_cache().save(path)
+    _writer([0, 1, 2]).save(path)
+    entries, measurements, _ = _read_state(path)
+    data = {'version': CACHE_FORMAT_VERSION,
+            'entries': {sig: e.to_json() for sig, e in entries.items()},
+            'measurements': [r.to_json() for r in measurements.values()]}
+    for cap in (None, 3):
+        warmed, merged = ScheduleCache(cap), ScheduleCache(cap)
+        for cache in (warmed, merged):
+            _put(cache, 1)
+            _measure(cache, 1)
+        assert warmed.warm(path) == merged.merge_json(data)
+        assert list(warmed._entries.items()) == list(merged._entries.items())
+        assert warmed.measurements() == merged.measurements()
+        assert warmed.measurement_version == merged.measurement_version
+

@@ -8,8 +8,11 @@ and the `BENCH_tuning.json` record itself.  The adversarial test is the
 safety contract: a confidently-wrong model must cost wasted ranking, never
 a bad schedule.
 """
+import dataclasses
 import importlib
+import math
 import pathlib
+import random
 import sys
 
 import pytest
@@ -26,6 +29,8 @@ from repro.serve.deployment import BatchingSpec, ReplicaGroupSpec
 from repro.tune import (DEFAULT_SEED_PROBLEMS, FEATURE_NAMES, RidgeCostModel,
                         featurize, run_tuning_service, seed_cost_model,
                         shard_problems)
+from repro.tune import cost_model as cost_model_module
+from repro.tune.cost_model import _solve
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / 'benchmarks'
 
@@ -94,6 +99,170 @@ class TestCostModelDeterminism:
         cold = RidgeCostModel(RTX3090).bind(ScheduleCache())
         assert cold.rank(512, 512, 512, SPACE) is None
         assert not cold.ready
+
+
+def _reference_fit(model, records):
+    """The cost model's fit as a plain row-major loop: featurize every
+    record, accumulate the weighted normal equations row by row.  The
+    production fit must reproduce its result bit for bit.  Returns
+    ``(weights, mean, std, train_r2)``; weights is None while underfit."""
+    usable = sorted((r for r in records
+                     if r.kind == 'matmul' and r.latency > 0.0),
+                    key=lambda r: (*r.problem_key,
+                                   dataclasses.astuple(r.schedule)))
+    if len(usable) < model.min_samples \
+            or len({r.problem_key for r in usable}) < model.min_problems:
+        return None, None, None, math.nan
+    rows = [list(featurize(r.m, r.n, r.k, r.schedule, device=model.device,
+                           batch=r.batch,
+                           extra_read_bytes=r.extra_read_bytes,
+                           extra_write_bytes=r.extra_write_bytes))
+            for r in usable]
+    targets = [math.log(r.latency) for r in usable]
+    best = {}
+    for r in usable:
+        current = best.get(r.problem_key)
+        if current is None or r.latency < current:
+            best[r.problem_key] = r.latency
+    sample_weights = [(best[r.problem_key] / r.latency) ** model.rank_focus
+                      for r in usable]
+    dim = len(FEATURE_NAMES)
+    count = float(len(usable))
+    mean = [sum(row[j] for row in rows) / count for j in range(dim)]
+    std = []
+    for j in range(dim):
+        var = sum((row[j] - mean[j]) ** 2 for row in rows) / count
+        std.append(math.sqrt(var) if var > 0.0 else 1.0)
+    for row in rows:
+        for j in range(dim):
+            row[j] = (row[j] - mean[j]) / std[j]
+    width = dim + 1
+    gram = [[0.0] * width for _ in range(width)]
+    moment = [0.0] * width
+    weight_total = sum(sample_weights)
+    for row, y, sw in zip(rows, targets, sample_weights):
+        aug_row = [1.0] + row
+        for i in range(width):
+            ri = aug_row[i] * sw
+            if ri == 0.0:
+                continue
+            moment[i] += ri * y
+            for j in range(i, width):
+                gram[i][j] += ri * aug_row[j]
+    for i in range(width):
+        for j in range(i + 1, width):
+            gram[j][i] = gram[i][j]
+    for i in range(1, width):
+        gram[i][i] += model.alpha * weight_total
+    weights = _solve(gram, moment)
+    predictions = [weights[0] + sum(w * x for w, x in zip(weights[1:], row))
+                   for row in rows]
+    y_mean = (sum(sw * y for sw, y in zip(sample_weights, targets))
+              / weight_total)
+    ss_tot = sum(sw * (y - y_mean) ** 2
+                 for sw, y in zip(sample_weights, targets))
+    ss_res = sum(sw * (y - p) ** 2
+                 for sw, y, p in zip(sample_weights, targets, predictions))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
+    return weights, mean, std, r2
+
+
+@pytest.fixture(scope='module')
+def guided_corpus():
+    """Seed measurements plus one guided compile's records (the guided
+    compile adds fused-epilogue problems with nonzero extra bytes)."""
+    from repro.models.common import WeightFactory, linear
+    from repro.graph import ops, symbol, trace
+    cache = _seeded_cache(problems=DEFAULT_SEED_PROBLEMS[:4])
+    x = symbol([128, 768], name='x')
+    wf = WeightFactory(seed=3)
+    y = ops.relu(linear(wf, x, 768, name='fc1'))
+    HidetExecutor(RTX3090, cache=cache, cost_model=RidgeCostModel(RTX3090)) \
+        .compile(trace(linear(wf, y, 3072, name='fc2'), name='mlp'))
+    records = cache.measurements()
+    assert any(r.extra_read_bytes or r.extra_write_bytes for r in records)
+    return records
+
+
+@pytest.fixture
+def featurize_calls(monkeypatch):
+    """A list that grows by one per call of the cost model's featurize."""
+    calls = []
+    original = cost_model_module.featurize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cost_model_module, 'featurize', counted)
+    return calls
+
+
+class TestIncrementalFit:
+    def _assert_matches_reference(self, model, records):
+        weights, mean, std, r2 = _reference_fit(model, records)
+        assert weights is not None
+        assert model._weights == weights     # bit for bit, not approximately
+        assert model._mean == mean
+        assert model._std == std
+        assert model.train_r2 == r2
+
+    def test_fit_is_bit_identical_to_the_row_major_reference(
+            self, guided_corpus):
+        """One model refits over growing prefixes and shuffled orders (so
+        its memoized feature rows are reused and pruned) and must land on
+        the reference loop's exact floats every time."""
+        model = RidgeCostModel(RTX3090)
+        rng = random.Random(12)
+        total = len(guided_corpus)
+        for size in (total // 3, total // 2, total, 2 * total // 3, total):
+            prefix = list(guided_corpus[:size])
+            model.fit(prefix)
+            self._assert_matches_reference(model, prefix)
+            rng.shuffle(prefix)
+            model.fit(prefix)
+            self._assert_matches_reference(model, prefix)
+
+    def test_refit_featurizes_only_new_records(self, guided_corpus,
+                                               featurize_calls):
+        model = RidgeCostModel(RTX3090)
+        base = len(guided_corpus) - 25
+        model.fit(guided_corpus[:base])
+        assert len(featurize_calls) == base
+        for added in (1, 24):
+            before = len(featurize_calls)
+            records = guided_corpus[:base + added]
+            model.fit(records)
+            assert len(featurize_calls) - before == added
+            self._assert_matches_reference(model, records)
+            base += added
+
+    def test_extra_bytes_below_rounding_are_featurized_afresh(
+            self, guided_corpus, featurize_calls):
+        """``record.key`` rounds the extra bytes, so a re-measurement whose
+        extras differ only below ``round()`` replaces the record in the
+        cache — and its features must come from the new inputs."""
+        cache = ScheduleCache()
+        for record in guided_corpus:
+            cache.record_measurement(record)
+        model = RidgeCostModel(RTX3090).bind(cache)
+        model.fit(cache.measurements())
+        before = len(featurize_calls)
+        old = next(r for r in guided_corpus if r.extra_read_bytes > 0.0)
+        new = dataclasses.replace(old,
+                                  extra_read_bytes=old.extra_read_bytes + 0.25)
+        assert new.key == old.key and new != old
+        assert cache.record_measurement(new)
+        assert cache.measurement_count == len(guided_corpus)
+        model.fit(cache.measurements())
+        assert len(featurize_calls) - before == 1
+        self._assert_matches_reference(model, cache.measurements())
+
+    def test_rank_tie_break_is_the_astuple_order(self):
+        model = RidgeCostModel(RTX3090).bind(_seeded_cache())
+        ranked = model.rank(256, 768, 768, SPACE)
+        assert ranked is not None
+        assert ranked == sorted(ranked, key=lambda pair: (
+            pair[1], dataclasses.astuple(pair[0])))
 
 
 class TestGuidedTuning:
