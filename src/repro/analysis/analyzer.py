@@ -3,9 +3,9 @@
 ``analyze_function`` runs, in order: the ``verify_function``
 well-formedness pass (unlowered), coverage for every ``ForTaskStmt``
 mapping, the shared-memory race detector (on the unlowered body, where the
-worker→task relation is still visible), then lowers the function exactly
-as codegen does (``lower_task_mappings`` + ``simplify``), re-verifies the
-lowered form, and bounds-checks every access.
+worker→task relation is still visible), then takes the lowered form from
+``Function.lowered()`` — the same object codegen and the interpreter use —
+re-verifies it, and bounds-checks every access.
 
 :class:`ScheduleAnalyzer` adapts the module analyzer into the candidate
 filter ``MatmulTuner.tune(analyzer=...)`` expects, so unsafe schedules are
@@ -17,8 +17,6 @@ from typing import Optional
 
 from ..ir.func import Function, IRModule
 from ..ir.functor import collect
-from ..ir.passes.lower_task_mapping import lower_task_mappings
-from ..ir.passes.simplify import simplify
 from ..ir.passes.verify import IRVerificationError, verify_function
 from ..ir.stmt import ForTaskStmt
 from .bounds import check_bounds
@@ -57,7 +55,7 @@ def analyze_function(func: Function,
 
     check_races(func, report)
 
-    lowered = simplify(lower_task_mappings(func))
+    lowered = func.lowered()
     try:
         verify_function(lowered, lowered=True)
     except IRVerificationError as exc:

@@ -16,8 +16,6 @@ from ..ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt, DeclareStmt,
                        SeqStmt, Stmt)
 from ..ir.types import DataType, TensorType, MemoryScope
 from ..ir.primitives import PRIMITIVES
-from ..ir.passes.lower_task_mapping import lower_task_mappings
-from ..ir.passes.simplify import simplify
 
 __all__ = ['generate_cuda', 'generate_cuda_module']
 
@@ -200,14 +198,10 @@ class CudaCodegen:
         self.line('}')
 
 
-def _prepare(func: Function) -> Function:
-    return simplify(lower_task_mappings(func))
-
-
 def generate_cuda(func: Function) -> str:
     """Emit CUDA C source for one kernel (lowering it first if needed)."""
     gen = CudaCodegen()
-    gen.func(_prepare(func))
+    gen.func(func.lowered())
     return gen.source()
 
 
@@ -217,6 +211,6 @@ def generate_cuda_module(module: IRModule) -> str:
     gen.line('#include <cuda_runtime.h>')
     gen.line()
     for f in module:
-        gen.func(_prepare(f))
+        gen.func(f.lowered())
         gen.line()
     return gen.source()

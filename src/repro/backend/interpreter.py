@@ -34,8 +34,6 @@ from ..ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt, DeclareStmt,
                        EvaluateStmt, ForStmt, ForTaskStmt, IfStmt, LetStmt,
                        SeqStmt, Stmt)
 from ..ir.types import TensorType, MemoryScope
-from ..ir.passes.lower_task_mapping import lower_task_mappings
-from ..ir.passes.simplify import simplify
 
 __all__ = ['run_kernel', 'KernelInterpreter', 'InterpreterError']
 
@@ -73,7 +71,7 @@ class KernelInterpreter:
 
     def __init__(self, func: Function, max_blocks: Optional[int] = 4096):
         if _has_for_task(func.body):
-            func = simplify(lower_task_mappings(func))
+            func = func.lowered()
         self.func = func
         self.max_blocks = max_blocks
         self._body = self.compile_stmt(func.body)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from operator import attrgetter
 
 from ..gpusim.device import DeviceSpec, RTX3090
@@ -36,13 +37,16 @@ class MatmulSchedule:
     split_k: int = 1
 
     # -- derived geometry -----------------------------------------------------
+    # The measure loop and featurize read these millions of times per compile;
+    # each is computed once per schedule and kept in the instance ``__dict__``,
+    # outside the dataclass fields, so equality, hashing and JSON ignore it.
 
-    @property
+    @cached_property
     def block_m(self) -> int:
         return (self.block_warps[0] * self.warp_outer[0]
                 * self.thread_layout[0] * self.thread_tile[0])
 
-    @property
+    @cached_property
     def block_n(self) -> int:
         return (self.block_warps[1] * self.warp_outer[1]
                 * self.thread_layout[1] * self.thread_tile[1])
@@ -51,7 +55,7 @@ class MatmulSchedule:
     def num_warps(self) -> int:
         return self.block_warps[0] * self.block_warps[1]
 
-    @property
+    @cached_property
     def threads(self) -> int:
         return self.num_warps * 32
 
@@ -59,12 +63,12 @@ class MatmulSchedule:
     def smem_stages(self) -> int:
         return 2 if self.double_buffer else 1
 
-    @property
+    @cached_property
     def smem_bytes(self) -> int:
         tile_floats = self.block_m * self.block_k + self.block_k * self.block_n
         return tile_floats * 4 * self.smem_stages
 
-    @property
+    @cached_property
     def regs_per_thread(self) -> int:
         """Estimated register footprint per thread."""
         tm, tn = self.thread_tile

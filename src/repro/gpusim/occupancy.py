@@ -10,6 +10,7 @@ register file, and warp scheduling units."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .device import DeviceSpec
 
@@ -29,9 +30,15 @@ class Occupancy:
         return self.resident_blocks_per_sm >= 1
 
 
+@lru_cache(maxsize=4096, typed=True)
 def compute_occupancy(device: DeviceSpec, threads_per_block: int,
                       smem_bytes_per_block: int, regs_per_thread: int) -> Occupancy:
-    """Resident blocks/SM and occupancy for the given per-block footprint."""
+    """Resident blocks/SM and occupancy for the given per-block footprint.
+
+    A pure function of its (hashable) arguments returning a frozen value,
+    so it is memoized: the measure loop asks about the same few footprints
+    for every candidate of every problem.
+    """
     if threads_per_block <= 0:
         raise ValueError('threads_per_block must be positive')
     if threads_per_block > device.max_threads_per_block:

@@ -35,9 +35,6 @@ class FlowGraph:
 
     # -- queries -----------------------------------------------------------
 
-    def consumers(self, tensor: Tensor) -> list[Operator]:
-        return [op for op in self.nodes if any(t is tensor for t in op.inputs)]
-
     @property
     def num_operators(self) -> int:
         return len(self.nodes)

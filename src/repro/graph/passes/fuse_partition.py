@@ -54,11 +54,14 @@ class FusedGroup:
         Prologue outputs are inlined and do not appear; epilogue side inputs
         and non-fused anchor inputs do.
         """
-        internal = {op.output._id for op in self.members}
+        members = self.members
+        internal = {op.output._id for op in members}
+        seen_ids: set[int] = set()
         seen: list[Tensor] = []
-        for op in self.members:
+        for op in members:
             for t in op.inputs:
-                if t._id not in internal and all(t is not s for s in seen):
+                if t._id not in internal and id(t) not in seen_ids:
+                    seen_ids.add(id(t))
                     seen.append(t)
         return seen
 
@@ -81,11 +84,12 @@ def partition_graph(graph: FlowGraph) -> list[FusedGroup]:
     output_ids = {t._id for t in graph.outputs}
     topo_index = {id(op): i for i, op in enumerate(graph.nodes)}
     groups: list[FusedGroup] = []
+    consumers_of = _consumer_index(graph)
 
     def absorb_epilogues(group: FusedGroup) -> None:
         current = group.anchor.output
         while current._id not in output_ids:
-            consumers = graph.consumers(current)
+            consumers = consumers_of.get(id(current), ())
             if len(consumers) != 1:
                 break
             consumer = consumers[0]
@@ -134,24 +138,32 @@ def partition_graph(graph: FlowGraph) -> list[FusedGroup]:
         absorb_prologues(group)
 
     # -- phase 3: materialize injective ops someone still reads -------------
-    def materialized_ids() -> set[int]:
-        needed = set(output_ids)
-        for g in groups:
-            needed.update(t._id for t in g.input_tensors())
-        return needed
+    materialized = set(output_ids)      # grows as groups are appended
+    for g in groups:
+        materialized.update(t._id for t in g.input_tensors())
 
     unplaced = [op for op in graph.nodes if id(op) not in placed]
     for op in sorted(unplaced, key=lambda o: -topo_index[id(o)]):   # reverse topo
         if id(op) in placed:
             continue
-        if op.output._id not in materialized_ids():
+        if op.output._id not in materialized:
             continue
         group = FusedGroup(anchor=op)
         placed[id(op)] = group
         absorb_prologues(group)
         groups.append(group)
+        materialized.update(t._id for t in group.input_tensors())
 
     return _topological_groups(groups, placed)
+
+
+def _consumer_index(graph: FlowGraph) -> dict[int, list[Operator]]:
+    """``id(tensor)`` → the operators reading it, each once, in node order."""
+    index: dict[int, list[Operator]] = {}
+    for op in graph.nodes:
+        for tid in dict.fromkeys(map(id, op.inputs)):
+            index.setdefault(tid, []).append(op)
+    return index
 
 
 def _topological_groups(groups: list[FusedGroup],

@@ -54,6 +54,19 @@ class Function:
         self.grid_dim = _dim3(grid_dim)
         self.block_dim = _dim3(block_dim)
         self.attrs = dict(attrs or {})
+        self._lowered: Optional[Function] = None
+
+    def lowered(self) -> Function:
+        """This kernel with task mappings lowered and simplified, built once.
+
+        Passes never mutate a function, they return a new one, so the
+        analyzer, codegen and the interpreter all share this one object.
+        """
+        if self._lowered is None:
+            from .passes.lower_task_mapping import lower_task_mappings
+            from .passes.simplify import simplify
+            self._lowered = simplify(lower_task_mappings(self))
+        return self._lowered
 
     @property
     def num_blocks(self) -> int:

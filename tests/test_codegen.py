@@ -178,3 +178,79 @@ class TestExpressionPrecedence:
         a, b, c = (ir.Var(n, ir.i32) for n in 'abc')
         text = gen.expr(ir.BinaryExpr('%', a, ir.BinaryExpr('*', b, c)))
         assert eval(text.replace('/', '//'), {'a': 7, 'b': 2, 'c': 3}) == 7 % 6
+
+
+class TestLoweringOnce:
+    """The analyzer gate and codegen share one lowered form per kernel."""
+
+    @staticmethod
+    def _compile_smoke_bert():
+        from repro.experiments.serving import SMOKE_MODELS
+        from repro.models import bert_base
+        from repro.runtime import HidetExecutor, ScheduleCache
+        executor = HidetExecutor(cache=ScheduleCache(), build_ir=True,
+                                 check_ir=True)
+        compiled = executor.compile(bert_base(**SMOKE_MODELS['bert']))
+        modules = {id(op.module): op.module for op in compiled.ops
+                   if op.module is not None}
+        return list(modules.values())
+
+    def test_each_function_lowered_once(self, monkeypatch):
+        import importlib
+        import repro.ir.passes as passes
+        from repro.backend.codegen import CudaCodegen
+        from repro.ir.func import Function
+        lower_task_mapping = importlib.import_module(
+            'repro.ir.passes.lower_task_mapping')
+        simplify_mod = importlib.import_module('repro.ir.passes.simplify')
+        original_lower = lower_task_mapping.lower_task_mappings
+        original_simplify = simplify_mod.simplify
+        lowered_inputs, simplified_inputs = [], []
+
+        def counting_lower(node):
+            if isinstance(node, Function):
+                lowered_inputs.append(node)
+            return original_lower(node)
+
+        def counting_simplify(node):
+            if isinstance(node, Function):
+                simplified_inputs.append(node)
+            return original_simplify(node)
+
+        for owner in (lower_task_mapping, passes):
+            monkeypatch.setattr(owner, 'lower_task_mappings', counting_lower)
+        for owner in (simplify_mod, passes):
+            monkeypatch.setattr(owner, 'simplify', counting_simplify)
+
+        modules = self._compile_smoke_bert()
+        functions = [f for m in modules for f in m]
+        assert len({id(f) for f in functions}) == len(functions)
+        lowered_ids = [id(f) for f in lowered_inputs]
+        assert len(set(lowered_ids)) == len(lowered_ids)     # once each
+        assert set(lowered_ids) == {id(f) for f in functions}
+        assert len(simplified_inputs) == len(lowered_inputs)
+
+        # codegen builds no Function and lowers nothing: it reuses the gate's
+        num_lowered = len(lowered_inputs)
+        built = []
+        original_init = Function.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Function, '__init__', counting_init)
+        sources = [generate_cuda_module(m) for m in modules]
+        monkeypatch.setattr(Function, '__init__', original_init)
+        assert built == [] and len(lowered_inputs) == num_lowered
+        assert all(f.lowered() is f.lowered() for f in functions)
+
+        # byte-equal to emitting a fresh lowering, the pre-memo path
+        for module, source in zip(modules, sources):
+            gen = CudaCodegen()
+            gen.line('#include <cuda_runtime.h>')
+            gen.line()
+            for f in module:
+                gen.func(original_simplify(original_lower(f)))
+                gen.line()
+            assert source == gen.source()

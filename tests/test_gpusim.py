@@ -43,6 +43,33 @@ class TestOccupancy:
         assert occ.resident_warps_per_sm == occ.resident_blocks_per_sm * 8
         assert 0 < occ.occupancy <= 1
 
+    def test_memo_equals_the_uncached_function(self):
+        for device in (RTX3090, A100):
+            for threads in (32, 96, 128, 256, 512, 1024, 1056, 2048):
+                for smem in (0, 1024, 16 * 1024, 48 * 1024, 100 * 1024,
+                             200 * 1024):
+                    for regs in (0, 16, 64, 128, 255, 300):
+                        want = compute_occupancy.__wrapped__(
+                            device, threads, smem, regs)
+                        assert compute_occupancy(device, threads, smem,
+                                                 regs) == want
+                        assert compute_occupancy(device, threads, smem,
+                                                 regs) == want
+
+    def test_memo_keeps_argument_types_apart(self):
+        # shared-memory limited, so the block count takes the smem type
+        as_int = compute_occupancy(RTX3090, 128, 40 * 1024, 32)
+        as_float = compute_occupancy(RTX3090, 128, 40 * 1024.0, 32)
+        assert as_int.limited_by == as_float.limited_by == 'shared_memory'
+        assert type(as_int.resident_blocks_per_sm) is int
+        assert type(as_float.resident_blocks_per_sm) is float
+
+    @pytest.mark.parametrize('threads', [0, -32])
+    def test_non_positive_threads_still_raise(self, threads):
+        for _ in range(2):          # a raise is never memoized
+            with pytest.raises(ValueError):
+                compute_occupancy(RTX3090, threads, 0, 32)
+
 
 class TestPerfModel:
     def test_more_flops_more_time(self):

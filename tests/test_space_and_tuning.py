@@ -1,7 +1,11 @@
 """Hardware-centric schedule space and the exhaustive tuner (§4.3)."""
+import json
+import pickle
+from dataclasses import asdict, astuple, replace
+
 import pytest
 
-from repro.core.schedule import MatmulSchedule
+from repro.core.schedule import MatmulSchedule, schedule_dict
 from repro.core.space import (matmul_schedule_space, reduce_schedule_space,
                               split_k_candidates)
 from repro.core.tuning import MatmulTuner
@@ -36,6 +40,51 @@ class TestSpace:
         space = reduce_schedule_space()
         assert len(space) >= 8
         assert all(s.is_valid() for s in space)
+
+
+def _geometry_formulas(s: MatmulSchedule) -> dict:
+    block_m = (s.block_warps[0] * s.warp_outer[0] * s.thread_layout[0]
+               * s.thread_tile[0])
+    block_n = (s.block_warps[1] * s.warp_outer[1] * s.thread_layout[1]
+               * s.thread_tile[1])
+    threads = s.block_warps[0] * s.block_warps[1] * 32
+    tile_floats = block_m * s.block_k + s.block_k * block_n
+    accum = s.warp_outer[0] * s.thread_tile[0] * s.warp_outer[1] * s.thread_tile[1]
+    frags = s.warp_outer[0] * s.thread_tile[0] + s.warp_outer[1] * s.thread_tile[1]
+    staging = tile_floats // threads if s.double_buffer else 0
+    return {'block_m': block_m, 'block_n': block_n, 'threads': threads,
+            'smem_bytes': tile_floats * 4 * (2 if s.double_buffer else 1),
+            'regs_per_thread': accum + frags + staging + 24}
+
+
+class TestScheduleGeometryMemo:
+    """Derived geometry is computed once per schedule, invisibly."""
+
+    @staticmethod
+    def _schedules():
+        for double_buffer in (True, False):
+            for sched in matmul_schedule_space(RTX3090,
+                                               double_buffer=double_buffer):
+                for split_k in (1, 2, 4, 8):
+                    yield replace(sched, split_k=split_k)
+
+    def test_cached_geometry_equals_the_formulas(self):
+        for sched in self._schedules():
+            want = _geometry_formulas(sched)
+            for _ in range(2):              # first access fills the cache
+                assert {name: getattr(sched, name) for name in want} == want
+
+    def test_cache_stays_out_of_identity_and_json(self):
+        for sched in self._schedules():
+            fresh = MatmulSchedule(*astuple(sched))
+            sched.is_valid()                 # fills every cached property
+            assert set(_geometry_formulas(sched)) <= set(vars(sched))
+            assert not set(_geometry_formulas(fresh)) & set(vars(fresh))
+            assert sched == fresh and hash(sched) == hash(fresh)
+            assert asdict(sched) == asdict(fresh) == schedule_dict(sched)
+            assert (json.dumps(schedule_dict(sched))
+                    == json.dumps(schedule_dict(fresh)))
+            assert pickle.loads(pickle.dumps(sched)) == fresh
 
 
 class TestTuner:
