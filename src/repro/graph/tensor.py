@@ -4,6 +4,11 @@ A :class:`Tensor` is an edge of the computation graph: it has a static shape
 and dtype, may carry constant data (weights after import / constant folding),
 and records which :class:`~repro.graph.operator.Operator` produced it.
 Symbolic tensors (no data, no producer) are graph inputs.
+
+A constant produced by constant folding is *deferred*: it holds the folded
+operator and its constant inputs, and evaluates them on the first read of
+:attr:`Tensor.data`.  Compilation reads only shapes and dtypes, so it never
+pays for weight values.
 """
 from __future__ import annotations
 
@@ -20,27 +25,54 @@ class Tensor:
     _counter = 0
 
     def __init__(self, shape: Sequence[int], dtype: DataType | str = 'float32',
-                 data: Optional[np.ndarray] = None, producer=None, name: str = ''):
+                 data: Optional[np.ndarray] = None, producer=None, name: str = '',
+                 fold: Optional[tuple] = None):
         self.shape: tuple[int, ...] = tuple(int(s) for s in shape)
         self.dtype: DataType = data_type(dtype)
-        self.data = data
+        self._data = data
+        #: ``(operator, constant input tensors)`` evaluated on first read
+        self._fold = fold
         self.producer = producer   # Operator or None
         Tensor._counter += 1
         self._id = Tensor._counter
         self.name = name or f't{self._id}'
         if data is not None:
-            if tuple(data.shape) != self.shape:
-                raise ValueError(f'data shape {data.shape} != tensor shape {self.shape}')
+            self._check_shape(data)
+
+    def _check_shape(self, data: np.ndarray) -> None:
+        if tuple(data.shape) != self.shape:
+            raise ValueError(f'data shape {data.shape} != tensor shape {self.shape}')
+
+    @property
+    def data(self) -> Optional[np.ndarray]:
+        """The constant value (``None`` if not constant), folded on first read."""
+        fold = self._fold
+        if fold is not None:
+            self._materialize(fold)
+        return self._data
+
+    def _materialize(self, fold: tuple) -> None:
+        op, inputs = fold
+        args = [t.numpy() for t in inputs]
+        try:
+            value = op.run_numpy(*args)
+            self._check_shape(value)
+        except Exception as exc:
+            raise RuntimeError(
+                f'constant {self.name!r} folded from operator {op.name!r} '
+                f'({type(op).__name__}) failed to evaluate: {exc}') from exc
+        self._data = value
+        self._fold = None
 
     # -- classification -----------------------------------------------------
 
     @property
     def is_constant(self) -> bool:
-        return self.data is not None
+        return self._data is not None or self._fold is not None
 
     @property
     def is_symbolic(self) -> bool:
-        return self.data is None and self.producer is None
+        return not self.is_constant and self.producer is None
 
     @property
     def rank(self) -> int:
@@ -58,9 +90,10 @@ class Tensor:
         return self.num_elements * self.dtype.nbytes
 
     def numpy(self) -> np.ndarray:
-        if self.data is None:
+        data = self.data
+        if data is None:
             raise ValueError(f'tensor {self.name!r} has no constant data')
-        return self.data
+        return data
 
     def __repr__(self) -> str:
         kind = 'const' if self.is_constant else ('sym' if self.is_symbolic else 'op')

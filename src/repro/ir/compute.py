@@ -23,7 +23,7 @@ import math
 from typing import Callable, Optional, Sequence
 
 from .expr import Expr, Var, convert, var as make_var
-from .functor import IRVisitor, collect
+from .functor import find_first
 from .types import DataType, data_type
 
 __all__ = ['TensorNode', 'TensorInput', 'GridCompute', 'ReduceCompute',
@@ -58,7 +58,7 @@ class TensorInput(TensorNode):
 class GridCompute(TensorNode):
     """``out[axes] = value`` over a rectangular grid of axes."""
 
-    __slots__ = ('axes', 'value')
+    __slots__ = ('axes', 'value', '_injective')
 
     def __init__(self, name: str, shape: Sequence[int], axes: Sequence[Var], value: Expr):
         super().__init__(name, _infer_dtype(value), shape)
@@ -66,11 +66,17 @@ class GridCompute(TensorNode):
             raise ValueError('one axis variable per output dimension is required')
         self.axes = tuple(axes)
         self.value = value
+        self._injective: Optional[bool] = None
 
     @property
     def is_injective(self) -> bool:
-        """No reduction inside: every output element is a pure function of inputs."""
-        return len(collect(self.value, ReduceCompute)) == 0
+        """No reduction inside: every output element is a pure function of inputs.
+
+        Walked once per node on first use; nodes are never mutated.
+        """
+        if self._injective is None:
+            self._injective = find_first(self.value, ReduceCompute) is None
+        return self._injective
 
 
 class ReduceCompute(Expr):
@@ -107,13 +113,11 @@ class ReduceCompute(Expr):
 
 def _infer_dtype(value: Expr) -> DataType:
     """Result dtype of a computation value (first tensor leaf wins; default f32)."""
-    from .expr import TensorElement, Constant
-    for node in collect(value, (TensorNode, Constant)):
-        if isinstance(node, TensorNode):
-            return node.dtype
-    for node in collect(value, Constant):
-        return node.dtype
-    return data_type('float32')
+    from .expr import Constant
+    node = find_first(value, TensorNode)
+    if node is None:
+        node = find_first(value, Constant)
+    return data_type('float32') if node is None else node.dtype
 
 
 def tensor_input(name: str, dtype: DataType | str, shape: Sequence[int]) -> TensorInput:

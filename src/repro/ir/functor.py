@@ -14,26 +14,33 @@ from .expr import (Expr, Var, Constant, BinaryExpr, UnaryExpr, Cast, TensorEleme
 from .stmt import (Stmt, DeclareStmt, BufferStoreStmt, AssignStmt, LetStmt, ForStmt,
                    ForTaskStmt, IfStmt, SeqStmt, BarrierStmt, EvaluateStmt)
 
-__all__ = ['IRVisitor', 'IRRewriter', 'collect']
+__all__ = ['IRVisitor', 'IRRewriter', 'collect', 'find_first']
 
 
 class NodeFunctor:
-    """Dispatch ``visit(node)`` to ``visit_<ClassName>`` with per-class memoization."""
+    """Dispatch ``visit(node)`` to ``visit_<ClassName>``.
 
-    def __init__(self):
-        self._dispatch: dict[type, Callable] = {}
+    The method table is memoized per functor class, so every instance of a
+    class shares it.
+    """
+
+    _methods: dict[type, Callable] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._methods = {}
 
     def visit(self, node):
-        method = self._dispatch.get(type(node))
+        method = self._methods.get(type(node))
         if method is None:
             name = 'visit_' + type(node).__name__
-            method = getattr(self, name, None)
+            method = getattr(type(self), name, None)
             if method is None:
                 raise NotImplementedError(
                     f'{type(self).__name__} has no handler for {type(node).__name__}'
                 )
-            self._dispatch[type(node)] = method
-        return method(node)
+            self._methods[type(node)] = method
+        return method(self, node)
 
     def __call__(self, node):
         return self.visit(node)
@@ -271,16 +278,38 @@ class IRRewriter(NodeFunctor):
         return s if expr is s.expr else EvaluateStmt(expr)
 
 
+class _Found(Exception):
+    pass
+
+
+class _Collector(IRVisitor):
+    def __init__(self, node_types: Type | tuple, first: bool = False):
+        super().__init__()
+        self.node_types = node_types
+        self.first = first
+        self.found: list = []
+
+    def visit(self, n):
+        if isinstance(n, self.node_types):
+            self.found.append(n)
+            if self.first:
+                raise _Found
+        return super().visit(n)
+
+
 def collect(node, node_types: Type | tuple) -> list:
     """Collect all sub-nodes of the given type(s) in pre-order."""
+    collector = _Collector(node_types)
+    collector.visit(node)
+    return collector.found
 
-    found: list = []
 
-    class Collector(IRVisitor):
-        def visit(self, n):
-            if isinstance(n, node_types):
-                found.append(n)
-            return super().visit(n)
-
-    Collector().visit(node)
-    return found
+def find_first(node, node_types: Type | tuple):
+    """The first sub-node of the given type(s) in pre-order, or ``None``;
+    the walk stops there."""
+    collector = _Collector(node_types, first=True)
+    try:
+        collector.visit(node)
+    except _Found:
+        return collector.found[0]
+    return None

@@ -207,7 +207,7 @@ class HidetExecutor:
         rejected0 = self.tuner.analysis_rejected
         self._namespace = namespace
         try:
-            optimized = fold_constants(lower_conv_to_gemm(fold_constants(graph)))
+            optimized = lower_conv_to_gemm(fold_constants(graph))
             if self.enable_fusion:
                 groups = partition_graph(optimized)
             else:
@@ -275,7 +275,7 @@ class HidetExecutor:
         """
         self._namespace = namespace
         try:
-            optimized = fold_constants(lower_conv_to_gemm(fold_constants(graph)))
+            optimized = lower_conv_to_gemm(fold_constants(graph))
             if self.enable_fusion:
                 groups = partition_graph(optimized)
             else:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.serving import DECODE_SMOKE_CONFIG, SMOKE_MODELS
 from repro.graph import from_numpy, ops, symbol, trace
 from repro.graph.ops.conv import Conv2dOp, Im2colOp
 from repro.graph.ops.matmul import MatmulOp
@@ -10,7 +11,15 @@ from repro.graph.passes import (build_group_spec, fold_constants,
                                 lower_conv_to_gemm, partition_graph)
 from repro.graph.passes.fuse_partition import (FusedGroup, _consumer_index,
                                                _topological_groups)
+from repro.graph.passes.rewrite import rewrite_graph
+from repro.graph.tensor import Tensor
+from repro.ir.compute import ReduceCompute, TensorNode
+from repro.ir.expr import BinaryExpr, Constant, TensorElement, Var
+from repro.ir.functor import IRVisitor, collect, find_first
+from repro.ir.stmt import BufferStoreStmt, ForStmt
 from repro.models import MODEL_BUILDERS
+from repro.runtime import HidetExecutor, ScheduleCache
+from repro.serve.memory import graph_tensor_bytes
 
 RNG = np.random.default_rng(0)
 
@@ -308,3 +317,296 @@ class TestPartitionOracle:
         assert index[id(sq)] == [m.producer]
         assert index[id(x)] == [r.producer]
         _assert_same_partition(g)
+
+
+# -- deferred constant folding ---------------------------------------------------
+
+def _eager_fold(graph):
+    """Constant folding as it was before folded values were deferred, kept
+    verbatim as the oracle: every fold runs its numpy reference at once."""
+    def rule(op, inputs):
+        if all(t.is_constant for t in inputs):
+            value = op.run_numpy(*[t.numpy() for t in inputs])
+            return Tensor(op.output.shape, op.output.dtype, data=value,
+                          name=f'{op.output.name}_folded')
+        return None
+
+    return rewrite_graph(graph, rule)
+
+
+def _eager_lower_conv(graph):
+    """Conv lowering as it was before it folded the weight layout itself,
+    kept as the oracle: the weight's reshape/transpose stay operators for a
+    second folding pass."""
+    def rule(op, inputs):
+        if not isinstance(op, Conv2dOp) or op.attrs['groups'] != 1:
+            return None
+        x, weight = inputs
+        n, c, h, w = x.shape
+        oc, _, kh, kw = weight.shape
+        _, _, oh, ow = op.output.shape
+        stride, padding = op.attrs['stride'], op.attrs['padding']
+
+        cols = Im2colOp(x, (kh, kw), stride, padding, (oh, ow)).output
+        w2 = ops.transpose(ops.reshape(weight, [oc, c * kh * kw]), [1, 0])
+        mm = ops.matmul(cols, w2)
+        return ops.transpose(ops.reshape(mm, [n, oh, ow, oc]), [0, 3, 1, 2])
+
+    return rewrite_graph(graph, rule)
+
+
+def _executor_passes(graph):
+    """The graph passes ``HidetExecutor.compile`` runs before partitioning."""
+    return lower_conv_to_gemm(fold_constants(graph))
+
+
+def _eager_passes(graph):
+    """The executor's graph passes as they were, every fold evaluated."""
+    return _eager_fold(_eager_lower_conv(_eager_fold(graph)))
+
+
+def _structure(graph):
+    """Graph structure with constants numbered in first-use order:
+    ``(rows, outputs, constants)``, one row per operator."""
+    keys = {id(t): ('input', i) for i, t in enumerate(graph.inputs)}
+    constants = []
+
+    def key(t):
+        if id(t) not in keys:
+            assert t.is_constant and not t.is_symbolic
+            keys[id(t)] = ('const', len(constants))
+            constants.append(t)
+        return keys[id(t)] + (t.shape, t.dtype.name, t.name)
+
+    rows = []
+    for n, op in enumerate(graph.nodes):
+        inputs = [key(t) for t in op.inputs]
+        keys[id(op.output)] = ('op', n)
+        rows.append((type(op).__name__, repr(sorted(op.attrs.items())), inputs,
+                     op.output.shape, op.output.dtype.name))
+    outputs = [key(t) for t in graph.outputs]
+    return rows, outputs, constants
+
+
+#: the transformers at their smoke shapes; the CNNs at paper shape
+_SMOKE_KWARGS = {'bert': dict(SMOKE_MODELS['bert']),
+                 'gpt2': dict(DECODE_SMOKE_CONFIG)}
+
+
+@pytest.fixture(scope='module', params=sorted(MODEL_BUILDERS))
+def zoo_graph(request):
+    name = request.param
+    return MODEL_BUILDERS[name](**_SMOKE_KWARGS.get(name, {}))
+
+
+class _FoldCounter:
+    """Counts deferred-constant evaluations while installed."""
+
+    def __init__(self):
+        self.names = []
+        self._original = Tensor._materialize
+
+    def __enter__(self):
+        original = self._original
+
+        def counting(tensor, fold):
+            self.names.append(tensor.name)
+            original(tensor, fold)
+
+        Tensor._materialize = counting
+        return self
+
+    def __exit__(self, *exc):
+        Tensor._materialize = self._original
+
+
+@pytest.fixture(scope='module')
+def zoo_compiled(zoo_graph):
+    """``(compiled, evaluations)``: the executor's IR-building, analyzer-gated
+    compile of a zoo graph, and the constants it evaluated on the way."""
+    with _FoldCounter() as counter:
+        compiled = HidetExecutor(cache=ScheduleCache(), build_ir=True,
+                                 check_ir=True).compile(zoo_graph)
+    return compiled, counter.names
+
+
+class TestDeferredFold:
+    def test_zoo_lazy_fold_matches_eager(self, zoo_graph):
+        with _FoldCounter() as counter:
+            lazy = _executor_passes(zoo_graph)
+            lazy_bytes = graph_tensor_bytes(lazy)
+            rows, outputs, constants = _structure(lazy)
+        assert counter.names == []
+        eager = _eager_passes(zoo_graph)
+        want_rows, want_outputs, want_constants = _structure(eager)
+        assert rows == want_rows and outputs == want_outputs
+        assert [id(t) for t in lazy.inputs] == [id(t) for t in eager.inputs]
+        assert lazy_bytes == graph_tensor_bytes(eager)
+        assert len(constants) == len(want_constants)
+        for got, want in zip(constants, want_constants):
+            a, b = got.numpy(), want.numpy()
+            assert np.array_equal(a, b), got.name
+            assert a.dtype == b.dtype
+            assert a.flags.c_contiguous == b.flags.c_contiguous
+
+    def test_value_evaluated_once_then_inputs_released(self):
+        import gc
+        import weakref
+        a = from_numpy(np.arange(4, dtype=np.float32))
+        b = from_numpy(np.full((4,), 3.0, dtype=np.float32))
+        x = symbol([4])
+        graph = fold_constants(trace(ops.add(x, ops.mul(a, b))))
+        (folded,) = [t for t in graph.nodes[0].inputs if t.is_constant]
+        assert folded.is_constant and not folded.is_symbolic
+        assert 'const' in repr(folded)
+        refs = [weakref.ref(a), weakref.ref(b)]
+        del a, b
+        with _FoldCounter() as counter:
+            first, second = folded.numpy(), folded.numpy()
+        assert counter.names == [folded.name]
+        assert first is second is folded.data
+        np.testing.assert_array_equal(first, np.arange(4) * 3.0)
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    def test_compiled_run_bit_equal_to_eager(self, monkeypatch):
+        import repro.runtime.executor as executor_module
+        from repro.graph.onnx_io import graph_to_dict
+        g, _ = _conv_bn_relu_graph()
+        x = RNG.standard_normal((1, 8, 10, 10)).astype(np.float32)
+        lazy = HidetExecutor(cache=ScheduleCache()).compile(g)
+        monkeypatch.setattr(executor_module, 'fold_constants', _eager_fold)
+        monkeypatch.setattr(executor_module, 'lower_conv_to_gemm',
+                            lambda graph: _eager_fold(_eager_lower_conv(graph)))
+        eager = HidetExecutor(cache=ScheduleCache()).compile(g)
+        for got, want in zip(lazy.run(x) + lazy.graph.run(x),
+                             eager.run(x) + eager.graph.run(x)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert graph_to_dict(lazy.graph) == graph_to_dict(eager.graph)
+
+    def test_failed_fold_names_tensor_and_operator(self):
+        a = from_numpy(np.ones((4,), dtype=np.float32))
+        b = from_numpy(np.ones((4,), dtype=np.float32))
+        bad = ops.mul(a, b)
+
+        def broken(*args):
+            raise FloatingPointError('reference exploded')
+
+        bad.producer.run_numpy = broken
+        x = symbol([4])
+        graph = fold_constants(trace(ops.add(x, ops.exp(bad))))
+        (folded,) = [t for t in graph.nodes[0].inputs if t.is_constant]
+        compiled = HidetExecutor(cache=ScheduleCache()).compile(graph)
+        for attempt in range(2):               # the failure does not stick
+            with pytest.raises(RuntimeError) as info:
+                compiled.run(np.zeros(4, dtype=np.float32))
+            message = str(info.value)
+            assert repr(f'{bad.name}_folded') in message
+            assert repr(bad.producer.name) in message
+            assert type(bad.producer).__name__ in message
+            assert 'reference exploded' in message
+            assert isinstance(info.value.__cause__, FloatingPointError)
+        assert folded.is_constant                # outer fold never ran
+
+    def test_fold_with_wrong_shape_is_named(self):
+        a = from_numpy(np.ones((4,), dtype=np.float32))
+        bad = ops.relu(a)
+        bad.producer.run_numpy = lambda v: np.ones((5,), dtype=np.float32)
+        (folded,) = fold_constants(trace(bad)).outputs
+        with pytest.raises(RuntimeError, match=r"relu.*data shape \(5,\)"):
+            folded.numpy()
+
+
+class TestCompileMaterializesNothing:
+    def test_zoo_compile(self, zoo_compiled):
+        compiled, evaluations = zoo_compiled
+        assert evaluations == []
+        with _FoldCounter() as counter:
+            graph_tensor_bytes(compiled.graph)
+        assert counter.names == []
+
+    def test_registry_warm_registration(self, tmp_path):
+        from repro.models import for_batch
+        from repro.serve import ModelRegistry
+        from repro.serve.memory import MemoryModel
+        path = str(tmp_path / 'schedules.json')
+
+        def build(batch):
+            return for_batch('resnet50', batch, image_size=32)
+
+        with _FoldCounter() as counter:
+            ModelRegistry(cache_path=path).register('resnet50', build,
+                                                    max_batch=1)
+            warm = ModelRegistry(cache_path=path, memory=MemoryModel(1 << 40))
+            model = warm.register('resnet50', build, max_batch=1)
+        assert model.compile_seconds == 0.0
+        assert model.footprint.weights_bytes > 0
+        assert counter.names == []
+
+
+# -- compute-node classification --------------------------------------------------
+
+def _reference_collect(node, node_types):
+    """``collect`` as it was, with a fresh visitor class per call."""
+    found = []
+
+    class Collector(IRVisitor):
+        def visit(self, n):
+            if isinstance(n, node_types):
+                found.append(n)
+            return super().visit(n)
+
+    Collector().visit(node)
+    return found
+
+
+_COLLECT_TYPES = (ReduceCompute, TensorElement, Var, Constant,
+                  (TensorNode, Constant), (BinaryExpr, ForStmt, BufferStoreStmt))
+
+
+def _assert_collect_matches_reference(node):
+    for types in _COLLECT_TYPES:
+        want = _reference_collect(node, types)
+        got = collect(node, types)
+        assert [id(n) for n in got] == [id(n) for n in want]
+        first = find_first(node, types)
+        assert first is (want[0] if want else None)
+
+
+class TestComputeClassification:
+    def test_is_injective_memo_equals_fresh_walk(self, zoo_graph):
+        ops_ = list(zoo_graph.nodes) + list(_executor_passes(zoo_graph).nodes)
+        for op in ops_:
+            definition = op.task.output
+            fresh = not _reference_collect(definition.value, ReduceCompute)
+            assert op.is_injective is fresh
+            assert definition._injective is fresh
+            assert definition.is_injective is fresh
+
+    def test_is_injective_walks_once(self, monkeypatch):
+        import repro.ir.compute as compute_module
+        x = symbol([4, 8])
+        definition = ops.reduce_sum(ops.exp(x)).producer.task.output
+        walks = []
+        original = compute_module.find_first
+
+        def counting(node, types):
+            walks.append(types)
+            return original(node, types)
+
+        monkeypatch.setattr(compute_module, 'find_first', counting)
+        assert [definition.is_injective for _ in range(3)] == [False] * 3
+        assert walks == [ReduceCompute]
+
+    def test_collect_over_compute_definitions(self, zoo_graph):
+        for op in zoo_graph.nodes:
+            _assert_collect_matches_reference(op.task.output.value)
+
+    def test_collect_over_lowered_kernels(self, zoo_compiled):
+        compiled, _ = zoo_compiled
+        modules = {id(op.module): op.module for op in compiled.ops
+                   if op.module is not None}
+        functions = [f for m in modules.values() for f in m]
+        assert functions
+        for function in functions:
+            _assert_collect_matches_reference(function.lowered().body)
