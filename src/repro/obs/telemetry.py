@@ -1,7 +1,7 @@
 """The telemetry facade the serving stack talks to.
 
 A :class:`Telemetry` bundles one run's :class:`~repro.obs.metrics.MetricsRegistry`
-and (optionally) one :class:`~repro.obs.tracing.Tracer` behind the handful
+and one :class:`~repro.obs.tracing.Tracer` behind the handful
 of verbs the simulators actually speak — ``arrival``, ``reject``, ``lost``,
 ``requeue``, ``batch_formed``, ``batch_done``, ``lifecycle_event``,
 ``autoscale_decision``, ``queue_depth``, ``memory_committed``.  Each verb
@@ -16,17 +16,18 @@ double-counts a live one.
 
 One ``Telemetry`` records one run: pass it to ``run(trace, telemetry=...)``
 (request ids restart per trace, so sharing one across runs would collide
-span ids).  Everything degrades gracefully — every simulator call site is
-``if telemetry is not None``-guarded, and a ``Telemetry(tracer=None)``
-keeps metrics without span records.
+span ids).  A run without telemetry pays nothing for it — every simulator
+call site is ``if telemetry is not None``-guarded.  A ``Telemetry`` always
+records spans: ``tracer=None`` (the default) gives it a fresh
+:class:`~repro.obs.tracing.Tracer`.
 """
 from __future__ import annotations
 
-import json
-from typing import Optional
+from typing import Iterator, Optional
 
-from .metrics import MetricsRegistry
-from .tracing import LIFECYCLE_TRACK, Tracer
+from .metrics import Gauge, MetricsRegistry
+from .tracing import (LIFECYCLE_TRACK, Tracer, chrome_document,
+                      write_chrome_trace)
 
 __all__ = ['Telemetry']
 
@@ -36,37 +37,31 @@ class Telemetry:
 
     def __init__(self, tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None):
-        if tracer is None:
-            tracer = Tracer()
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # -- request lifecycle ---------------------------------------------------
 
     def arrival(self, request, now: float) -> None:
         self.metrics.counter('sim.requests.arrived', unit='requests').add()
-        if self.tracer is not None:
-            self.tracer.arrival(request, now)
+        self.tracer.arrival(request, now)
 
     def reject(self, request, now: float, replica: Optional[int] = None,
                reason: str = 'admission') -> None:
         self.metrics.counter('sim.requests.rejected', unit='requests').add()
-        if self.tracer is not None:
-            self.tracer.reject(request, now, replica=replica, reason=reason)
+        self.tracer.reject(request, now, replica=replica, reason=reason)
 
     def lost(self, request, now: float, replica: Optional[int] = None,
              reason: str = 'failure', tokens: int = 0) -> None:
         self.metrics.counter('sim.requests.lost', unit='requests').add()
         if tokens:
             self.metrics.counter('sim.tokens.lost', unit='tokens').add(tokens)
-        if self.tracer is not None:
-            self.tracer.lost(request, now, replica=replica, reason=reason,
-                             tokens=tokens)
+        self.tracer.lost(request, now, replica=replica, reason=reason,
+                         tokens=tokens)
 
     def requeue(self, request, now: float, replica: int) -> None:
         self.metrics.counter('sim.requests.requeued', unit='requests').add()
-        if self.tracer is not None:
-            self.tracer.requeue(request, now, replica)
+        self.tracer.requeue(request, now, replica)
 
     # -- batching / execution ------------------------------------------------
 
@@ -78,9 +73,8 @@ class Telemetry:
                                unit='requests').observe(batch.size)
         if queued_after is not None:
             self.queue_depth(now, queued_after, replica=replica)
-        if self.tracer is not None:
-            self.tracer.batch_formed(batch, replica, now,
-                                     queued_after=queued_after)
+        self.tracer.batch_formed(batch, replica, now,
+                                 queued_after=queued_after)
 
     def batch_done(self, batch, now: float) -> None:
         self.metrics.counter('sim.batches.executed', unit='batches').add()
@@ -88,12 +82,10 @@ class Telemetry:
                              unit='requests').add(len(batch.requests))
         self.metrics.histogram('sim.batch.execute_ms', unit='ms').observe(
             (now - batch.dispatch_time) * 1e3)
+        latency = self.metrics.histogram('sim.request.latency_ms', unit='ms')
         for request in batch.requests:
-            self.metrics.histogram('sim.request.latency_ms',
-                                   unit='ms').observe(
-                (now - request.arrival) * 1e3)
-        if self.tracer is not None:
-            self.tracer.batch_done(batch, now)
+            latency.observe((now - request.arrival) * 1e3)
+        self.tracer.batch_done(batch, now)
 
     # -- continuous (iteration-level) decoding -------------------------------
 
@@ -104,8 +96,7 @@ class Telemetry:
         if width is not None:
             self.metrics.histogram('sim.decode.join_width',
                                    unit='slots').observe(width)
-        if self.tracer is not None:
-            self.tracer.decode_join(request, now, replica, width=width)
+        self.tracer.decode_join(request, now, replica, width=width)
 
     def decode_step(self, now: float, replica: int, width: int,
                     tokens: int, kv_committed_bytes: int = 0) -> None:
@@ -128,29 +119,26 @@ class Telemetry:
                              unit='tokens').add(tokens)
         self.metrics.histogram('sim.request.latency_ms', unit='ms').observe(
             (now - request.arrival) * 1e3)
-        if self.tracer is not None:
-            self.tracer.decode_complete(request, now, replica, tokens)
+        self.tracer.decode_complete(request, now, replica, tokens)
 
     # -- control plane -------------------------------------------------------
 
     def lifecycle_event(self, kind: str, now: float, replica: int,
                         detail: str = '') -> None:
         self.metrics.counter(f'sim.lifecycle.{kind}', unit='events').add()
-        if self.tracer is not None:
-            args = {'replica': replica}
-            if detail:
-                args['detail'] = detail
-            self.tracer.instant(f'lifecycle:{kind}', now,
-                                track=LIFECYCLE_TRACK, **args)
+        args = {'replica': replica}
+        if detail:
+            args['detail'] = detail
+        self.tracer.instant(f'lifecycle:{kind}', now,
+                            track=LIFECYCLE_TRACK, **args)
 
     def autoscale_decision(self, now: float, active: int, target: int,
                            policy: str = '') -> None:
         self.metrics.counter('sim.autoscale.decisions', unit='events').add()
         self.metrics.gauge('sim.replicas.target',
                            unit='replicas').set(now, target)
-        if self.tracer is not None:
-            self.tracer.instant('autoscale', now, track=LIFECYCLE_TRACK,
-                                active=active, target=target, policy=policy)
+        self.tracer.instant('autoscale', now, track=LIFECYCLE_TRACK,
+                            active=active, target=target, policy=policy)
 
     # -- sampled series ------------------------------------------------------
 
@@ -171,33 +159,28 @@ class Telemetry:
 
     # -- export --------------------------------------------------------------
 
-    def chrome_trace(self) -> dict:
-        """The tracer's Chrome trace, plus every gauge as a counter track.
+    def events(self) -> Iterator[tuple[dict, dict]]:
+        """The tracer's :meth:`~repro.obs.tracing.Tracer.events`, then
+        every gauge sample as a ``C`` (counter) event.
 
-        Gauge series export as ``C`` (counter) events, which Perfetto
-        renders as step charts — queue depth, target replicas, and
-        committed memory become graphs under the same timeline as the
-        request/batch spans.
+        Perfetto renders counter events as step charts — queue depth,
+        target replicas, and committed memory become graphs under the same
+        timeline as the request/batch spans.
         """
-        if self.tracer is None:
-            doc = {'traceEvents': [], 'displayTimeUnit': 'ms'}
-        else:
-            doc = self.tracer.chrome_trace()
+        yield from self.tracer.events()
         for name in self.metrics.names():
             metric = self.metrics[name]
-            snap = metric.snapshot()
-            if snap['type'] != 'gauge':
+            if not isinstance(metric, Gauge):
                 continue
             for t, value in metric.series():
-                doc['traceEvents'].append({
-                    'name': name, 'cat': 'metric', 'ph': 'C',
-                    'ts': t * 1e6, 'pid': 0,
-                    'args': {'value': value},
-                })
-        return doc
+                yield ({'name': name, 'cat': 'metric', 'ph': 'C',
+                        'ts': t * 1e6, 'pid': 0}, {'value': value})
+
+    def chrome_trace(self) -> dict:
+        """The :meth:`events` stream as a Chrome trace-event object."""
+        return chrome_document(self.events())
 
     def write_chrome_trace(self, path: str) -> str:
-        """Write :meth:`chrome_trace` to ``path``; returns ``path``."""
-        with open(path, 'w') as f:
-            json.dump(self.chrome_trace(), f, indent=1)
-        return path
+        """Write :meth:`chrome_trace` to ``path`` (indent=1 JSON); returns
+        ``path``."""
+        return write_chrome_trace(path, self.events())

@@ -14,12 +14,14 @@ One :class:`Tracer` records one simulation run as three kinds of record:
   transitions (join/kill/revive/retire/rehome/evict), autoscaler
   decisions.
 
-Timestamps are simulated seconds throughout.  :meth:`Tracer.chrome_trace`
-exports the run in the Chrome trace-event JSON format (the ``traceEvents``
-array form), loadable in Perfetto / ``chrome://tracing``: request
-lifecycles become async ``b``/``e`` pairs keyed by request id, batch
-executions become ``X`` duration events on one track (``tid``) per
-replica, and instants become ``i`` events.
+Timestamps are simulated seconds throughout.  :meth:`Tracer.events`
+streams the run as Chrome trace events, loadable in Perfetto /
+``chrome://tracing``: request lifecycles become async ``b``/``e`` pairs
+keyed by request id, batch executions become ``X`` duration events on one
+track (``tid``) per replica, and instants become ``i`` events.
+:meth:`Tracer.chrome_trace` (the ``traceEvents`` object form) and
+:meth:`Tracer.write_chrome_trace` (that object as indent=1 JSON) both read
+this one stream.
 
 The tracer also *audits* the run: :meth:`check_invariants` verifies that
 every arrival terminated exactly once, that timestamps are sim-time
@@ -32,10 +34,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 __all__ = ['RequestSpan', 'BatchSpan', 'Instant', 'Tracer',
-           'TERMINAL_KINDS', 'LIFECYCLE_TRACK']
+           'TERMINAL_KINDS', 'LIFECYCLE_TRACK', 'chrome_document',
+           'write_chrome_trace']
 
 #: the three ways a request's span may end — exactly one per arrival
 TERMINAL_KINDS = ('complete', 'reject', 'lost')
@@ -330,33 +333,29 @@ class Tracer:
             return 999_999               # the named control-plane track
         return replica
 
-    def chrome_trace(self) -> dict:
-        """The run as Chrome trace-event JSON (the object form).
+    def events(self) -> Iterator[tuple[dict, dict]]:
+        """Each Chrome trace event as ``(head, args)``, in file order.
 
-        Load the written file in Perfetto (https://ui.perfetto.dev) or
-        ``chrome://tracing``.  Request lifecycles are async ``b``/``e``
+        ``head`` holds every key but ``args`` (an event is ``head`` with
+        ``args`` appended last).  Request lifecycles are async ``b``/``e``
         pairs keyed by request id (the ``e`` event's ``args.terminal``
         carries the outcome), batch executions are ``X`` duration events
         on per-replica tracks, instants are ``i`` events.
         """
-        events: list[dict] = [{
-            'name': 'process_name', 'ph': 'M', 'pid': 0,
-            'args': {'name': 'repro.serve simulation'},
-        }]
+        yield ({'name': 'process_name', 'ph': 'M', 'pid': 0},
+               {'name': 'repro.serve simulation'})
         names = dict(self._thread_names)
         names.setdefault(LIFECYCLE_TRACK, 'lifecycle')
         for replica, name in sorted(names.items()):
-            events.append({'name': 'thread_name', 'ph': 'M', 'pid': 0,
-                           'tid': self._tid(replica), 'args': {'name': name}})
+            yield ({'name': 'thread_name', 'ph': 'M', 'pid': 0,
+                    'tid': self._tid(replica)}, {'name': name})
         for span in self.request_spans:
             tid = self._tid(span.replica)
-            events.append({
-                'name': f'request:{span.model}', 'cat': 'request',
-                'ph': 'b', 'id': span.req_id,
-                'ts': self._us(span.arrival), 'pid': 0, 'tid': tid,
-                'args': {'req_id': span.req_id, 'model': span.model,
-                         'size': span.size},
-            })
+            yield ({'name': f'request:{span.model}', 'cat': 'request',
+                    'ph': 'b', 'id': span.req_id,
+                    'ts': self._us(span.arrival), 'pid': 0, 'tid': tid},
+                   {'req_id': span.req_id, 'model': span.model,
+                    'size': span.size})
             if not span.is_terminated:
                 continue
             args = {'terminal': span.terminal, 'req_id': span.req_id,
@@ -371,33 +370,101 @@ class Tracer:
             if span.prompt_tokens or span.tokens_emitted:
                 args['prompt_tokens'] = span.prompt_tokens
                 args['tokens_out'] = span.tokens_emitted
-            events.append({
-                'name': f'request:{span.model}', 'cat': 'request',
-                'ph': 'e', 'id': span.req_id,
-                'ts': self._us(span.terminal_time), 'pid': 0, 'tid': tid,
-                'args': args,
-            })
+            yield ({'name': f'request:{span.model}', 'cat': 'request',
+                    'ph': 'e', 'id': span.req_id,
+                    'ts': self._us(span.terminal_time), 'pid': 0,
+                    'tid': tid}, args)
         for batch in self.batch_spans:
-            events.append({
-                'name': f'{batch.model}[b{batch.bucket}]', 'cat': 'batch',
-                'ph': 'X', 'ts': self._us(batch.start),
-                'dur': self._us(batch.end - batch.start),
-                'pid': 0, 'tid': self._tid(batch.replica),
-                'args': {'model': batch.model, 'bucket': batch.bucket,
-                         'size': batch.size,
-                         'num_requests': batch.num_requests,
-                         'occupancy': round(batch.occupancy, 4)},
-            })
+            yield ({'name': f'{batch.model}[b{batch.bucket}]', 'cat': 'batch',
+                    'ph': 'X', 'ts': self._us(batch.start),
+                    'dur': self._us(batch.end - batch.start),
+                    'pid': 0, 'tid': self._tid(batch.replica)},
+                   {'model': batch.model, 'bucket': batch.bucket,
+                    'size': batch.size, 'num_requests': batch.num_requests,
+                    'occupancy': round(batch.occupancy, 4)})
         for inst in self.instants:
-            events.append({
-                'name': inst.name, 'cat': 'event', 'ph': 'i', 's': 't',
-                'ts': self._us(inst.time), 'pid': 0,
-                'tid': self._tid(inst.replica), 'args': dict(inst.args),
-            })
-        return {'traceEvents': events, 'displayTimeUnit': 'ms'}
+            yield ({'name': inst.name, 'cat': 'event', 'ph': 'i', 's': 't',
+                    'ts': self._us(inst.time), 'pid': 0,
+                    'tid': self._tid(inst.replica)}, dict(inst.args))
+
+    def chrome_trace(self) -> dict:
+        """The run as Chrome trace-event JSON (the object form) — the
+        :meth:`events` stream; load the written file in Perfetto
+        (https://ui.perfetto.dev) or ``chrome://tracing``."""
+        return chrome_document(self.events())
 
     def write_chrome_trace(self, path: str) -> str:
         """Write :meth:`chrome_trace` to ``path`` (JSON); returns ``path``."""
-        with open(path, 'w') as f:
-            json.dump(self.chrome_trace(), f, indent=1)
-        return path
+        return write_chrome_trace(path, self.events())
+
+
+# -- Chrome trace-event files -------------------------------------------------
+#
+# A trace file is ``json.dumps(chrome_document(events), indent=1)``, byte for
+# byte.  ``indent`` forces json's pure-Python encoder, so the writer instead
+# encodes each event's flat ``head`` and ``args`` dicts in one C-encoder call
+# each -- the item separator carries the newline and the indent of the dict's
+# keys -- and splices the indent=1 braces around them.  Events sit at depth 2
+# (``{"traceEvents": [{...}]}``), so head keys are indented 3 spaces and args
+# keys 4.
+
+_HEAD = json.JSONEncoder(separators=(',\n   ', ': ')).encode
+_ARGS = json.JSONEncoder(separators=(',\n    ', ': ')).encode
+_NESTED = json.JSONEncoder(indent=1).encode
+#: value types the C call encodes flat; any other value (a list, a dict, a
+#: float subclass, ...) goes through the indent=1 encoder instead
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def chrome_document(events: Iterable[tuple[dict, dict]]) -> dict:
+    """The Chrome trace-event object form of a ``(head, args)`` stream."""
+    return {'traceEvents': [dict(head, args=args) for head, args in events],
+            'displayTimeUnit': 'ms'}
+
+
+def _encode_event(head: dict, args: dict) -> str:
+    if not args:
+        encoded = '{}'
+    elif _SCALARS.issuperset(map(type, args.values())):
+        encoded = '{\n    ' + _ARGS(args)[1:-1] + '\n   }'
+    else:
+        # JSON strings never hold a raw newline, so re-indenting every line
+        # moves the indent=1 form from depth 0 to the args depth
+        encoded = _NESTED(args).replace('\n', '\n   ')
+    return '{\n   ' + _HEAD(head)[1:-1] + ',\n   "args": ' + encoded + '\n  }'
+
+
+def _encode_events(events: Iterable[tuple[dict, dict]]) -> list[str]:
+    """Each event of the stream in its indent=1 form at depth 2.
+
+    An event json cannot encode raises the encoder's ``TypeError`` (or
+    ``ValueError``) re-raised with the event's name, phase and timestamp.
+    """
+    parts = []
+    for head, args in events:
+        try:
+            parts.append(_encode_event(head, args))
+        except (TypeError, ValueError) as err:
+            kind = TypeError if isinstance(err, TypeError) else ValueError
+            raise kind(
+                f'chrome trace event {head.get("name")!r} (ph '
+                f'{head.get("ph")!r}, ts {head.get("ts")!r}): {err}') from err
+    return parts
+
+
+def write_chrome_trace(path: str, events: Iterable[tuple[dict, dict]]) -> str:
+    """Write a ``(head, args)`` stream to ``path`` as
+    ``json.dumps(chrome_document(events), indent=1)``; returns ``path``.
+
+    Every event is encoded before ``path`` is opened, so an event that
+    cannot be encoded raises and leaves no file behind.
+    """
+    parts = _encode_events(events)
+    with open(path, 'w') as f:
+        f.write('{\n "traceEvents": [')
+        if parts:
+            f.write('\n  ')
+            f.write(',\n  '.join(parts))
+            f.write('\n ')
+        f.write('],\n "displayTimeUnit": "ms"\n}')
+    return path

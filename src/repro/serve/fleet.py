@@ -908,7 +908,7 @@ class FleetSimulator:
         self._busy.append(0.0)
         self._epoch.append(0)
         self._active_since[replica.index] = now
-        if self._telemetry is not None and self._telemetry.tracer is not None:
+        if self._telemetry is not None:
             self._telemetry.tracer.set_track_name(replica.index, replica.label)
         self._event(now, 'join', replica.index,
                     detail=f'{device.name} +{replica.compile_seconds:.1f}s '
@@ -1033,10 +1033,8 @@ class FleetSimulator:
         self._telemetry = telemetry
         n = len(fleet.replicas)
         if telemetry is not None:
-            if telemetry.tracer is not None:
-                for replica in fleet.replicas:
-                    telemetry.tracer.set_track_name(replica.index,
-                                                    replica.label)
+            for replica in fleet.replicas:
+                telemetry.tracer.set_track_name(replica.index, replica.label)
             telemetry.replicas_serving(0.0, len(self.serving_replicas()))
         self._batchers = [
             DynamicBatcher(self.policy, replica.registry.bucket_map())

@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from ..gpusim.decode import DecodeCostModel
@@ -173,6 +174,8 @@ class ServerSimulator:
         gpu_free_at = 0.0            # GPU is idle iff now >= gpu_free_at
         in_flight: Optional[Batch] = None
         armed_deadline: Optional[float] = None   # earliest pending timer
+        # (model, bucket) -> service seconds, priced on first dispatch
+        service_times: dict[tuple[str, int], float] = {}
 
         def dispatch(now: float) -> None:
             nonlocal gpu_free_at, busy_seconds, in_flight, armed_deadline
@@ -189,7 +192,10 @@ class ServerSimulator:
                         heapq.heappush(events, (when, next(seq), 'timer', None))
                         armed_deadline = when
                 return
-            service = self.service_time(batch.model, batch.bucket)
+            key = (batch.model, batch.bucket)
+            service = service_times.get(key)
+            if service is None:
+                service = service_times[key] = self.service_time(*key)
             gpu_free_at = now + service
             busy_seconds += service
             in_flight = batch
@@ -226,7 +232,7 @@ class ServerSimulator:
             if now >= gpu_free_at and in_flight is None:
                 dispatch(now)
 
-        completions.sort(key=lambda c: (c.completion, c.request.req_id))
+        completions.sort(key=attrgetter('completion', 'request.req_id'))
         return SimulationResult(completions=completions, batches=batches,
                                 policy=self.policy, busy_seconds=busy_seconds,
                                 rejected=rejected)

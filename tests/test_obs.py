@@ -13,13 +13,16 @@ from repro.graph import ops, symbol, trace
 from repro.gpusim.device import RTX3090
 from repro.models.common import WeightFactory, conv_bn_relu, linear
 from repro.obs import (LIFECYCLE_TRACK, TERMINAL_KINDS, BenchMetric,
-                       BenchResult, Counter, Gauge, Histogram, Measurement,
+                       BenchResult, Counter, Gauge, Histogram, Instant,
+                       Measurement,
                        MetricsRegistry, Telemetry, Tracer, compare,
                        percentile, percentiles, summarize_latencies)
 from repro.obs.compare import main as compare_main
+from repro.obs.tracing import chrome_document, write_chrome_trace
 from repro.serve import (BatchingPolicy, FailureEvent, Fleet, FleetSimulator,
-                         LeastLoadedPlacement, ModelRegistry, Request,
-                         ServerSimulator, poisson_trace)
+                         LeastLoadedPlacement, ModelAffinePlacement,
+                         ModelRegistry, Request, ServerSimulator,
+                         poisson_trace)
 
 
 def tiny_cnn(batch: int):
@@ -349,6 +352,222 @@ class TestChromeTrace:
         by_id = {s.req_id: s for s in telemetry.tracer.request_spans}
         begin = next(e for e in doc['traceEvents'] if e['ph'] == 'b')
         assert begin['ts'] == pytest.approx(by_id[begin['id']].arrival * 1e6)
+
+
+# ---------------------------------------------------------------------------
+# Chrome trace byte identity: the streamed writer against the dict builders
+# and ``json.dump(doc, f, indent=1)`` writers it replaced, kept verbatim
+
+
+def _reference_tracer_trace(self) -> dict:
+    events: list[dict] = [{
+        'name': 'process_name', 'ph': 'M', 'pid': 0,
+        'args': {'name': 'repro.serve simulation'},
+    }]
+    names = dict(self._thread_names)
+    names.setdefault(LIFECYCLE_TRACK, 'lifecycle')
+    for replica, name in sorted(names.items()):
+        events.append({'name': 'thread_name', 'ph': 'M', 'pid': 0,
+                       'tid': self._tid(replica), 'args': {'name': name}})
+    for span in self.request_spans:
+        tid = self._tid(span.replica)
+        events.append({
+            'name': f'request:{span.model}', 'cat': 'request',
+            'ph': 'b', 'id': span.req_id,
+            'ts': self._us(span.arrival), 'pid': 0, 'tid': tid,
+            'args': {'req_id': span.req_id, 'model': span.model,
+                     'size': span.size},
+        })
+        if not span.is_terminated:
+            continue
+        args = {'terminal': span.terminal, 'req_id': span.req_id,
+                'latency_ms': (span.terminal_time - span.arrival) * 1e3}
+        if span.reason:
+            args['reason'] = span.reason
+        if span.dispatch_time is not None:
+            args['dispatch_ts_us'] = self._us(span.dispatch_time)
+            args['bucket'] = span.bucket
+        if span.requeued:
+            args['requeued'] = span.requeued
+        if span.prompt_tokens or span.tokens_emitted:
+            args['prompt_tokens'] = span.prompt_tokens
+            args['tokens_out'] = span.tokens_emitted
+        events.append({
+            'name': f'request:{span.model}', 'cat': 'request',
+            'ph': 'e', 'id': span.req_id,
+            'ts': self._us(span.terminal_time), 'pid': 0, 'tid': tid,
+            'args': args,
+        })
+    for batch in self.batch_spans:
+        events.append({
+            'name': f'{batch.model}[b{batch.bucket}]', 'cat': 'batch',
+            'ph': 'X', 'ts': self._us(batch.start),
+            'dur': self._us(batch.end - batch.start),
+            'pid': 0, 'tid': self._tid(batch.replica),
+            'args': {'model': batch.model, 'bucket': batch.bucket,
+                     'size': batch.size,
+                     'num_requests': batch.num_requests,
+                     'occupancy': round(batch.occupancy, 4)},
+        })
+    for inst in self.instants:
+        events.append({
+            'name': inst.name, 'cat': 'event', 'ph': 'i', 's': 't',
+            'ts': self._us(inst.time), 'pid': 0,
+            'tid': self._tid(inst.replica), 'args': dict(inst.args),
+        })
+    return {'traceEvents': events, 'displayTimeUnit': 'ms'}
+
+
+def _reference_telemetry_trace(self) -> dict:
+    if self.tracer is None:
+        doc = {'traceEvents': [], 'displayTimeUnit': 'ms'}
+    else:
+        doc = _reference_tracer_trace(self.tracer)
+    for name in self.metrics.names():
+        metric = self.metrics[name]
+        snap = metric.snapshot()
+        if snap['type'] != 'gauge':
+            continue
+        for t, value in metric.series():
+            doc['traceEvents'].append({
+                'name': name, 'cat': 'metric', 'ph': 'C',
+                'ts': t * 1e6, 'pid': 0,
+                'args': {'value': value},
+            })
+    return doc
+
+
+def _reference_write(doc: dict, path) -> None:
+    with open(path, 'w') as f:
+        json.dump(doc, f, indent=1)
+
+
+def _fleet_kill_telemetry(placement=LeastLoadedPlacement) -> Telemetry:
+    """A kill and revive mid-trace: least-loaded placement requeues the
+    dead replica's queue, model-affine re-homes its models (``detail``)."""
+    fleet = Fleet([RTX3090, RTX3090], placement=placement())
+    fleet.register('cnn', tiny_cnn, max_batch=4)
+    fleet.register('mlp', tiny_mlp, max_batch=4)
+    trace_ = poisson_trace(6000, 400, ['cnn', 'mlp'], seed=3)
+    kill_at = trace_[len(trace_) // 4].arrival
+    sim = FleetSimulator(
+        fleet, BatchingPolicy(max_batch=4, max_wait=1e-3),
+        failures=[FailureEvent(time=kill_at, replica=0,
+                               revive_at=kill_at + 0.05)])
+    telemetry = Telemetry()
+    sim.run(trace_, telemetry=telemetry)
+    return telemetry
+
+
+def _decode_telemetry() -> Telemetry:
+    from repro.gpusim import DecodeCostModel
+    from repro.serve import DecodePolicy, DecodeSimulator, decode_trace
+    cost = DecodeCostModel(device=RTX3090, seq_length=16,
+                           bucket_latency={1: 1e-4, 4: 1.6e-4},
+                           weights_bytes=1_000_000)
+    trace_ = decode_trace(qps=3000, num_requests=150, seed=2,
+                          prompt_tokens=(2, 8), mean_output_tokens=6.0,
+                          max_output_tokens=24)
+    telemetry = Telemetry()
+    DecodeSimulator(cost, DecodePolicy(max_width=4, max_tokens=24)).run(
+        trace_, telemetry=telemetry)
+    return telemetry
+
+
+def _awkward_instants() -> Telemetry:
+    """Hand-made instants whose args exercise every JSON escape and
+    constant, plus an open span and an empty-args instant."""
+    telemetry = Telemetry()
+    tracer = telemetry.tracer
+    tracer.set_track_name(3, 'r3:caf\u00e9 "quoted"')
+    tracer.arrival(Request(0, 'm\u00fcnchen', 1, 0.25), 0.25)   # never ends
+    tracer.instant('odd', 0.5, track=3,
+                   text='h\u00e9llo \u2713 \U0001f600 "q" back\\slash '
+                        'new\nline\ttab \x00',
+                   nan=float('nan'), inf=float('inf'), ninf=float('-inf'),
+                   none=None, yes=True, no=False, empty={}, zero=0,
+                   neg=-1.5e-300, big=10 ** 30)
+    tracer.instant('bare', 0.75)
+    tracer.instant('nested', 1.0, track=0, items=[1, [2, {}], {'k': 'v'}],
+                   pair=(1, 'a'), deep={'a': {'b': [None, float('nan')]}},
+                   np_float=np.float64(2.5), empty_list=[])
+    tracer.instants.append(Instant(name='int-keys', time=1.25,
+                                   args={1: 'one', 'x': 2}))
+    telemetry.queue_depth(0.5, 3)
+    telemetry.metrics.gauge('sim.odd').set(1.0, float('inf'))
+    telemetry.metrics.histogram('sim.unused').observe(1.0)
+    return telemetry
+
+
+class TestChromeTraceOracle:
+    CASES = {'fleet_kill': _fleet_kill_telemetry,
+             'fleet_rehome': lambda: _fleet_kill_telemetry(
+                 ModelAffinePlacement),
+             'decode': _decode_telemetry, 'awkward': _awkward_instants,
+             'empty': Telemetry}
+
+    def _assert_identical(self, owner, reference, tmp_path):
+        doc = reference(owner)
+        assert owner.chrome_trace() == doc
+        ref_path, path = tmp_path / 'reference.json', tmp_path / 'trace.json'
+        _reference_write(doc, ref_path)
+        assert owner.write_chrome_trace(str(path)) == str(path)
+        assert path.read_bytes() == ref_path.read_bytes()
+
+    def test_server_run_matches_reference(self, sim_run, tmp_path):
+        _, telemetry, _ = sim_run
+        self._assert_identical(telemetry, _reference_telemetry_trace,
+                               tmp_path)
+        self._assert_identical(telemetry.tracer, _reference_tracer_trace,
+                               tmp_path)
+
+    @pytest.mark.parametrize('case', sorted(CASES))
+    def test_case_matches_reference(self, case, tmp_path):
+        telemetry = self.CASES[case]()
+        self._assert_identical(telemetry, _reference_telemetry_trace,
+                               tmp_path)
+        self._assert_identical(telemetry.tracer, _reference_tracer_trace,
+                               tmp_path)
+
+    def test_cases_cover_the_rare_fields(self):
+        fleet = _fleet_kill_telemetry().chrome_trace()['traceEvents']
+        assert any(e['name'] == 'requeue' for e in fleet)
+        assert any(e['args'].get('requeued') for e in fleet if e['ph'] == 'e')
+        rehome = self.CASES['fleet_rehome']().chrome_trace()['traceEvents']
+        assert any(e['name'].startswith('lifecycle:') and 'detail' in e['args']
+                   and e['tid'] == 999_999 for e in rehome)
+        decode = _decode_telemetry().chrome_trace()['traceEvents']
+        assert any('prompt_tokens' in e['args'] and 'tokens_out' in e['args']
+                   for e in decode if e['ph'] == 'e')
+
+    def test_empty_stream(self, tmp_path):
+        path = tmp_path / 'trace.json'
+        write_chrome_trace(str(path), iter(()))
+        assert path.read_text() == json.dumps(chrome_document(()), indent=1)
+
+    def test_export_reads_no_metric_snapshots(self, sim_run, monkeypatch):
+        _, telemetry, _ = sim_run
+        for kind in (Counter, Gauge, Histogram):
+            monkeypatch.setattr(kind, 'snapshot', None)
+        events = telemetry.chrome_trace()['traceEvents']
+        assert any(e['ph'] == 'C' for e in events)
+
+
+class TestChromeExportFailure:
+    def test_unencodable_arg_names_the_event_and_writes_nothing(self,
+                                                                tmp_path):
+        telemetry = Telemetry()
+        telemetry.tracer.instant('tagged', 2.0, tags={'a', 'b'})
+        path = tmp_path / 'trace.json'
+        with pytest.raises(TypeError, match="'tagged'.*set"):
+            telemetry.write_chrome_trace(str(path))
+        assert not path.exists()
+        with pytest.raises(TypeError, match="'tagged'"):
+            telemetry.tracer.write_chrome_trace(str(path))
+        assert not path.exists()
+
+    def test_telemetry_always_traces(self):
+        assert isinstance(Telemetry(tracer=None).tracer, Tracer)
 
 
 # ---------------------------------------------------------------------------

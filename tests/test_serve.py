@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.schedule import MatmulSchedule
 from repro.graph import ops, symbol, trace
@@ -514,3 +515,50 @@ class TestSimulator:
         assert result.completions == []
         with pytest.raises(ValueError, match='empty'):
             result.stats()
+
+    def test_each_bucket_priced_once_per_run(self, registry):
+        class Counting(ServerSimulator):
+            def service_time(self, model, bucket):
+                self.asked.append((model, bucket))
+                return super().service_time(model, bucket)
+
+        sim = Counting(registry, BatchingPolicy(max_batch=8, max_wait=1e-5))
+        trace_ = poisson_trace(qps=40000, num_requests=400, models=['tiny'],
+                               seed=9, sizes=(1, 2, 3))
+        plain = ServerSimulator(registry, sim.policy).run(trace_)
+        for _ in range(2):          # the table lives for one run
+            sim.asked = []
+            result = sim.run(trace_)
+            assert sorted(sim.asked) == sorted(
+                {(b.model, b.bucket) for b in result.batches})
+            assert len(sim.asked) > 1
+            assert result.completions == plain.completions
+            assert result.busy_seconds == plain.busy_seconds
+
+
+@st.composite
+def tied_traces(draw):
+    """Bursts on a coarse arrival grid: many requests share an arrival,
+    every batch shares a completion, and a small ``max_queue`` rejects."""
+    n = draw(st.integers(1, 60))
+    ticks = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    trace_ = [Request(i, 'tiny', size, tick * 5e-6)
+              for i, (tick, size) in enumerate(zip(ticks, sizes))]
+    order = draw(st.permutations(range(n)))
+    max_queue = draw(st.sampled_from([4, 5, 8, None]))
+    return [trace_[i] for i in order], max_queue
+
+
+class TestCompletionOrder:
+    @given(tied_traces())
+    @settings(max_examples=40, deadline=None)
+    def test_order_matches_tuple_key(self, registry, case):
+        trace_, max_queue = case
+        result = ServerSimulator(
+            registry, BatchingPolicy(max_batch=4, max_wait=1e-5,
+                                     max_queue=max_queue)).run(trace_)
+        completions = result.completions
+        assert completions == sorted(
+            completions, key=lambda c: (c.completion, c.request.req_id))
+        assert len(completions) + len(result.rejected) == len(trace_)
